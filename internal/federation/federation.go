@@ -509,8 +509,8 @@ func (e *Engine) evalDistributed(ctx context.Context, f *fetcher, gp pattern.Gra
 
 // hashJoin fetches every pattern's extension — concurrently, with the
 // sub-queries bound for the same source travelling in one batched message —
-// then joins smallest-first with the algebra's streaming hash join, hashing
-// the smaller input at each step.
+// then joins smallest-first with pattern.Join, hashing the smaller input at
+// each step.
 func (e *Engine) hashJoin(ctx context.Context, f *fetcher, gp pattern.GraphPattern) ([]pattern.Binding, error) {
 	exts, err := f.fetchExtensions(ctx, gp)
 	if err != nil {
@@ -527,14 +527,13 @@ func (e *Engine) hashJoin(ctx context.Context, f *fetcher, gp pattern.GraphPatte
 	return acc, nil
 }
 
-// joinBindings is Ω₁ ⋈ Ω₂ through the algebra's hash join, hashing the
-// smaller set (HashJoinBindings drains its right argument as the build
-// side).
+// joinBindings is Ω₁ ⋈ Ω₂, hashing the smaller set (pattern.Join builds
+// on its second argument).
 func joinBindings(a, b []pattern.Binding) []pattern.Binding {
 	if len(a) <= len(b) {
-		return plan.HashJoinBindings(b, a)
+		return pattern.Join(b, a)
 	}
-	return plan.HashJoinBindings(a, b)
+	return pattern.Join(a, b)
 }
 
 // bindJoin evaluates patterns most-selective-first, shipping the current

@@ -83,7 +83,8 @@ func Join(om1, om2 []Binding) []Binding {
 	// hash join: bucket om2 by shared-variable values
 	idx := make(map[string][]Binding, len(om2))
 	for _, b := range om2 {
-		idx[joinKey(b, shared)] = append(idx[joinKey(b, shared)], b)
+		k := joinKey(b, shared)
+		idx[k] = append(idx[k], b)
 	}
 	var out []Binding
 	for _, a := range om1 {
@@ -97,8 +98,7 @@ func Join(om1, om2 []Binding) []Binding {
 }
 
 // UniformDomain reports whether every binding in the set has the same
-// domain — the soundness condition for hashing on shared variables. Shared
-// with internal/plan's hash join so the guard cannot diverge from Join's.
+// domain — the soundness condition for hashing on shared variables.
 func UniformDomain(om []Binding) bool {
 	for _, b := range om[1:] {
 		if len(b) != len(om[0]) {

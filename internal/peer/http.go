@@ -84,11 +84,7 @@ func (s *HTTPService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Accept header. Old servers ignore the header and answer one-shot; the
 // client falls back on the content type.)
 func (s *HTTPService) serveStream(w http.ResponseWriter, r *http.Request, q *sparql.Query) {
-	rs, err := q.EvalStream(r.Context(), s.peer.Data())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
+	rs := q.EvalStream(r.Context(), s.peer.Data())
 	defer rs.Close()
 	w.Header().Set("Content-Type", StreamContentType)
 	enc := json.NewEncoder(w)

@@ -356,10 +356,7 @@ func (n *Node) handleStreamOpen(queryText string) (simnet.Message, error) {
 	n.mu.Lock()
 	n.queries++
 	n.mu.Unlock()
-	rs, err := q.EvalStream(context.Background(), n.peer.Data())
-	if err != nil {
-		return simnet.Message{}, fmt.Errorf("peer %s: %w", n.name, err)
-	}
+	rs := q.EvalStream(context.Background(), n.peer.Data())
 	fr := streamFrame{Head: true, Vars: rs.Vars}
 	if rs.Form == sparql.FormAsk {
 		fr.Ask = true

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -335,4 +337,53 @@ func TestHTTPStreamEarlyClose(t *testing.T) {
 	if last >= facts {
 		t.Errorf("early close: server drained the whole extension (%d rows)", last)
 	}
+}
+
+// A LIMIT query must return the same rows over every transport: the
+// one-shot answer is the stream drained and sorted, so both carry the first
+// k rows in the peer's plan order. The wide peer's subjects s0…s299 scan in
+// store order, which is not their sorted order.
+func TestLimitRowsAgreeAcrossTransports(t *testing.T) {
+	sys, net, _ := deployWidePeer(t, 300)
+	const limited = `SELECT ?x ?y WHERE { ?x <http://e/P0> ?y . } LIMIT 5`
+	sorted := func(rows []pattern.Tuple) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			out[i] = row.String()
+		}
+		sort.Strings(out)
+		return out
+	}
+	check := func(transport string, oneShot *sparql.Result, rs *peer.ResultStream) {
+		t.Helper()
+		want := sorted(oneShot.Rows)
+		got := sorted(drainStream(t, rs))
+		if len(want) != 5 || !slices.Equal(got, want) {
+			t.Errorf("%s: LIMIT rows differ\n one-shot %v\n   stream %v", transport, want, got)
+		}
+	}
+
+	c := peer.NewClient(net, "client")
+	res, err := c.Query("peer:wide", limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := c.QueryStream(context.Background(), "peer:wide", limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("simnet", res, rs)
+
+	srv := httptest.NewServer(peer.NewHTTPService(sys.Peer("wide")))
+	defer srv.Close()
+	hc := &peer.HTTPClient{}
+	res, err = hc.QueryContext(context.Background(), srv.URL, limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err = hc.QueryStream(context.Background(), srv.URL, limited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("http", res, rs)
 }

@@ -62,6 +62,12 @@ func instrument(n Node) *statsNode {
 			inner: &HashJoin{Left: instrument(x.Left), Right: right, Shared: x.Shared},
 			build: right,
 		}
+	case *LeftJoin:
+		right := instrument(x.Right)
+		return &statsNode{
+			inner: &LeftJoin{HashJoin{Left: instrument(x.Left), Right: right, Shared: x.Shared}},
+			build: right,
+		}
 	case *Project:
 		return &statsNode{inner: &Project{Child: instrument(x.Child), Cols: x.Cols}}
 	case *Distinct:
@@ -77,7 +83,7 @@ func instrument(n Node) *statsNode {
 		}
 		return &statsNode{inner: &Union{Children: children, Parallel: x.Parallel, Stream: x.Stream}}
 	default:
-		// leaves with no Node children (Bindings, Unit, RemoteScan) and any
+		// leaves with no Node children (InlineBindings, Unit, RemoteScan) and any
 		// future operator: wrap as-is
 		return &statsNode{inner: n}
 	}

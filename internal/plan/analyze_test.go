@@ -185,7 +185,7 @@ func TestExtend(t *testing.T) {
 	c := rdf.IRI("http://e/c")
 	shared := pattern.Binding{"x": rdf.IRI("http://e/s")}
 	e := &plan.Extend{
-		Child: &plan.Bindings{Rows: []pattern.Binding{shared}, Label: "in"},
+		Child: &plan.InlineBindings{Names: []string{"x"}, Rows: []pattern.Binding{shared}},
 		Bound: map[string]rdf.Term{"b": c},
 	}
 	if got := e.Vars(); len(got) != 2 || got[0] != "b" || got[1] != "x" {

@@ -27,11 +27,16 @@
 //     (build) side is hashed once, the left (probe) side streams. Chosen by
 //     the planner when the next pattern shares no variable with the rows
 //     produced so far (a cross product, where re-scanning per row would be
-//     quadratic), and by the federation mediator to join remote extensions.
-//     When the build side is a cross-shard fan-out scan, the hash table is
+//     quadratic), by the federation mediator to join remote extensions,
+//     and by SPARQL to join a group's children. Rows may bind different
+//     variable sets: the key covers the variables every row binds and the
+//     probe checks compatibility on the rest. When the build side is a cross-shard fan-out scan, the hash table is
 //     built shard-parallel: per-worker maps, merged once in shard order
 //     (build=parallel in EXPLAIN), so the build costs one pass of the
 //     slowest shard instead of a serial drain.
+//   - LeftJoin       ⟕, SPARQL's OPTIONAL: HashJoin's build and probe, also
+//     emitting each left row that no build row extends.
+//   - InlineBindings a literal in-memory relation (SPARQL VALUES).
 //   - Project        π onto a variable list.
 //   - Distinct       δ by a collision-free (length-prefixed) binding key.
 //   - Filter         σ by an arbitrary predicate on bindings.
@@ -110,11 +115,13 @@
 //     parallel Union of per-disjunct plans; answers merge into a TupleSet,
 //     giving the deduplicated, deterministic certain-answer set.
 //   - Combined approach: same as rewriting, over the canonical database.
-//   - Federation (internal/federation): the mediator joins per-pattern
-//     remote extensions with HashJoinBindings, the algebra's hash join
-//     applied to already-fetched binding sets.
-//   - SPARQL (internal/sparql): BGPs execute via Execute, FILTER via the
-//     Filter operator, and UNION alternatives fan out in parallel.
+//   - Federation (internal/federation): the mediator's streaming plan joins
+//     RemoteScan leaves with HashJoin; its materialised path joins
+//     already-fetched extensions with pattern.Join.
+//   - SPARQL (internal/sparql): a whole query lowers to one tree — each
+//     group's BGP through Plan, children through HashJoin, OPTIONAL through
+//     LeftJoin, VALUES as InlineBindings, FILTER as Filter, and UNION as a
+//     parallel Union merged in branch order.
 //
 // pattern.Eval cannot import this package (plan depends on pattern's
 // types), so pattern exposes a pluggable evaluator hook that plan installs

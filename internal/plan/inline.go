@@ -12,10 +12,11 @@ import (
 
 // InlineBindings is the plan leaf of a SPARQL VALUES block: a literal
 // relation over a declared variable list, written into the query text
-// rather than discovered in the store. It differs from Bindings in that the
-// schema is declared (so an all-UNDEF column still counts as a variable)
-// and EXPLAIN shows the construct the query author — or the federation
-// mediator rendering a probe batch — wrote.
+// rather than discovered in the store. The schema is declared, so an
+// all-UNDEF column still counts as a variable, and EXPLAIN shows the
+// construct the query author — or the federation mediator rendering a probe
+// batch — wrote. It is also the plan's leaf over any other in-memory
+// relation.
 type InlineBindings struct {
 	// Names is the declared variable list, in declaration order.
 	Names []string

@@ -348,10 +348,13 @@ func (j *IndexNestedLoopJoin) format(b *strings.Builder, depth int) {
 // pattern.BindingKey, then the left (probe) side streams. With no shared
 // variables it degenerates to a buffered cross product, which is why the
 // planner picks it over an index nested loop when the next pattern is
-// disconnected from the rows produced so far.
+// disconnected from the rows produced so far. Rows need not share one
+// domain: the probe checks pattern.Compatible on every bucket row, so the
+// key only has to be built from variables every row of both sides binds.
 type HashJoin struct {
 	Left, Right Node
-	// Shared is the sorted list of join variables (empty: cross product).
+	// Shared is the sorted list of join-key variables (empty: cross
+	// product).
 	Shared []string
 	// ParallelBuild marks a build side that is a cross-shard fan-out scan:
 	// instead of draining one merged stream, Open builds per-shard hash
@@ -364,7 +367,11 @@ func (j *HashJoin) Vars() []string {
 	return unionVars(j.Left.Vars(), j.Right.Vars())
 }
 
-func (j *HashJoin) Open(ctx context.Context, g rdf.Source) Iterator {
+func (j *HashJoin) Open(ctx context.Context, g rdf.Source) Iterator { return j.open(ctx, g, false) }
+
+// open builds the hash table on the right side and streams the left side
+// through it; outer keeps the left rows no build row extends (⟕).
+func (j *HashJoin) open(ctx context.Context, g rdf.Source, outer bool) Iterator {
 	var table map[string][]pattern.Binding
 	if rs, ok := j.Right.(*IndexScan); ok && j.ParallelBuild && rs.Fanout > 1 && g != nil && g.ShardCount() > 1 {
 		table = j.buildParallel(ctx, g, rs)
@@ -386,7 +393,7 @@ func (j *HashJoin) Open(ctx context.Context, g rdf.Source) Iterator {
 		}
 		rit.Close()
 	}
-	return &hashJoinIter{left: j.Left.Open(ctx, g), table: table, shared: j.Shared}
+	return &hashJoinIter{left: j.Left.Open(ctx, g), table: table, shared: j.Shared, outer: outer}
 }
 
 // buildParallel drains the build-side scan's shard partitions concurrently,
@@ -426,9 +433,13 @@ type hashJoinIter struct {
 	left   Iterator
 	table  map[string][]pattern.Binding
 	shared []string
-	cur    pattern.Binding
-	bucket []pattern.Binding
-	i      int
+	// outer marks a left join; pending is set while the current left row
+	// has found no compatible build row yet.
+	outer   bool
+	pending bool
+	cur     pattern.Binding
+	bucket  []pattern.Binding
+	i       int
 }
 
 func (it *hashJoinIter) Next() (pattern.Binding, bool) {
@@ -437,14 +448,19 @@ func (it *hashJoinIter) Next() (pattern.Binding, bool) {
 			b := it.bucket[it.i]
 			it.i++
 			if pattern.Compatible(it.cur, b) {
+				it.pending = false
 				return pattern.Union(it.cur, b), true
 			}
+		}
+		if it.pending {
+			it.pending = false
+			return it.cur, true
 		}
 		lmu, ok := it.left.Next()
 		if !ok {
 			return nil, false
 		}
-		it.cur = lmu
+		it.cur, it.pending = lmu, it.outer
 		it.bucket = it.table[pattern.BindingKey(lmu, it.shared)]
 		it.i = 0
 	}
@@ -452,13 +468,15 @@ func (it *hashJoinIter) Next() (pattern.Binding, bool) {
 
 func (it *hashJoinIter) Close() { it.left.Close() }
 
-func (j *HashJoin) format(b *strings.Builder, depth int) {
+func (j *HashJoin) format(b *strings.Builder, depth int) { j.formatAs(b, depth, "HashJoin") }
+
+func (j *HashJoin) formatAs(b *strings.Builder, depth int, name string) {
 	indent(b, depth)
 	on := strings.Join(j.Shared, ",")
 	if on == "" {
 		on = "×"
 	}
-	fmt.Fprintf(b, "HashJoin[on %s]", on)
+	fmt.Fprintf(b, "%s[on %s]", name, on)
 	if j.ParallelBuild {
 		b.WriteString(" build=parallel")
 	}
@@ -466,6 +484,20 @@ func (j *HashJoin) format(b *strings.Builder, depth int) {
 	j.Left.format(b, depth+1)
 	j.Right.format(b, depth+1)
 }
+
+// ------------------------------------------------------------------ LeftJoin
+
+// LeftJoin is ⟕, SPARQL's OPTIONAL: the HashJoin build and compatibility
+// probe, except that a left row no build row is compatible with is emitted
+// unextended. Shared must hold only variables every row of both sides
+// binds; the probe's compatibility check covers any other overlap.
+type LeftJoin struct {
+	HashJoin
+}
+
+func (j *LeftJoin) Open(ctx context.Context, g rdf.Source) Iterator { return j.open(ctx, g, true) }
+
+func (j *LeftJoin) format(b *strings.Builder, depth int) { j.formatAs(b, depth, "LeftJoin") }
 
 // ------------------------------------------------------------------- Project
 
@@ -661,33 +693,10 @@ func (e *Extend) format(b *strings.Builder, depth int) {
 	e.Child.format(b, depth+1)
 }
 
-// ------------------------------------------------------------------ Bindings
+// ------------------------------------------------------------------ sliceIter
 
-// Bindings is a leaf over an in-memory relation, letting already
-// materialised solution sets (remote extensions, UNION arms) participate in
-// the algebra.
-type Bindings struct {
-	Rows  []pattern.Binding
-	Label string
-}
-
-func (n *Bindings) Vars() []string {
-	set := make(map[string]struct{})
-	for _, mu := range n.Rows {
-		for v := range mu {
-			set[v] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (n *Bindings) Open(context.Context, rdf.Source) Iterator { return &sliceIter{rows: n.Rows} }
-
+// sliceIter replays an in-memory relation: the rows of an InlineBindings
+// leaf, the Unit row, or a buffered fan-out scan or parallel union.
 type sliceIter struct {
 	rows []pattern.Binding
 	i    int
@@ -703,15 +712,6 @@ func (it *sliceIter) Next() (pattern.Binding, bool) {
 }
 
 func (it *sliceIter) Close() {}
-
-func (n *Bindings) format(b *strings.Builder, depth int) {
-	indent(b, depth)
-	label := n.Label
-	if label == "" {
-		label = "mem"
-	}
-	fmt.Fprintf(b, "Bindings[%s] rows=%d\n", label, len(n.Rows))
-}
 
 // ---------------------------------------------------------------------- Unit
 

@@ -234,7 +234,9 @@ func (st *statsCtx) predTop(p rdf.Term) []rdf.ObjectCount {
 		return t
 	}
 	var t []rdf.ObjectCount
-	if hg, ok := st.g.(interface{ PredTopObjects(rdf.Term) []rdf.ObjectCount }); ok {
+	if hg, ok := st.g.(interface {
+		PredTopObjects(rdf.Term) []rdf.ObjectCount
+	}); ok {
 		t = hg.PredTopObjects(p)
 	}
 	if st.top == nil {
@@ -513,27 +515,6 @@ func Format(n Node) string {
 	var b strings.Builder
 	n.format(&b, 0)
 	return b.String()
-}
-
-// HashJoinBindings joins two in-memory binding sets with the algebra's
-// HashJoin operator, mirroring the semantics of Ω₁ ⋈ Ω₂: the build side is
-// hashed on the collision-free key of the shared variables and the probe
-// side streams. When either set has bindings with differing domains the
-// hash key is unsound, so it delegates to pattern.Join's nested-loop
-// fallback. Used by the federation mediator to join remote extensions.
-func HashJoinBindings(left, right []pattern.Binding) []pattern.Binding {
-	if len(left) == 0 || len(right) == 0 {
-		return nil
-	}
-	if !pattern.UniformDomain(left) || !pattern.UniformDomain(right) {
-		return pattern.Join(left, right)
-	}
-	j := &HashJoin{
-		Left:   &Bindings{Rows: left, Label: "probe"},
-		Right:  &Bindings{Rows: right, Label: "build"},
-		Shared: pattern.SharedVars(left[0], right[0]),
-	}
-	return Drain(j.Open(context.Background(), nil))
 }
 
 // init installs the planner as pattern.Eval's evaluator, making

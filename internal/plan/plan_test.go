@@ -129,35 +129,6 @@ func TestExecuteMatchesNaiveSharded(t *testing.T) {
 	}
 }
 
-// TestHashJoinBindingsMatchesJoin checks the mediator-facing hash join
-// against the Ω₁ ⋈ Ω₂ oracle on random binding sets, including
-// non-uniform domains (the nested-loop fallback).
-func TestHashJoinBindingsMatchesJoin(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		terms := []rdf.Term{rdf.IRI("http://e/a"), rdf.IRI("http://e/b"), rdf.Literal("c")}
-		vars := []string{"x", "y", "z"}
-		side := func() []pattern.Binding {
-			var out []pattern.Binding
-			for n := rng.Intn(8); n > 0; n-- {
-				mu := make(pattern.Binding)
-				for _, v := range vars {
-					if rng.Intn(3) > 0 {
-						mu[v] = terms[rng.Intn(len(terms))]
-					}
-				}
-				out = append(out, mu)
-			}
-			return out
-		}
-		l, r := side(), side()
-		return sameBindings(plan.HashJoinBindings(l, r), pattern.Join(l, r))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEmptyPattern(t *testing.T) {
 	g := rdf.NewGraph()
 	got := plan.Execute(g, nil)
@@ -520,7 +491,7 @@ func TestParallelBuildEquivalent(t *testing.T) {
 	}
 	build := func(parallel bool) []pattern.Binding {
 		j := &plan.HashJoin{
-			Left:          &plan.Bindings{Rows: left, Label: "probe"},
+			Left:          &plan.InlineBindings{Names: []string{"k"}, Rows: left},
 			Right:         &plan.IndexScan{TP: pattern.TP(pattern.V("s"), pattern.V("p"), pattern.C(hub)), Fanout: g.ShardCount()},
 			ParallelBuild: parallel,
 		}

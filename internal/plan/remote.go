@@ -22,7 +22,7 @@ import (
 // the peers, and closing the iterator (cancellation, LIMIT) closes the
 // remote streams so the peers stop producing. Otherwise Fetch materialises
 // the pattern's merged remote extension up front and the rows stream from
-// an in-memory buffer like Bindings. Network errors have no Iterator
+// an in-memory buffer. Network errors have no Iterator
 // channel — fetch implementations record them out of band (the mediator's
 // fetcher keeps the first error and the fetch yields no further rows).
 type RemoteScan struct {

@@ -3,6 +3,7 @@ package qcache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,10 +39,12 @@ func TestSingleflightCollapse(t *testing.T) {
 		}(i)
 	}
 	close(start)
-	// Wait until one leader is inside compute, then release it. Spin on the
-	// miss counter: exactly one caller becomes the leader; collapsed callers
-	// never reach compute.
-	for computes.Load() == 0 {
+	// Wait until one leader is inside compute and every other caller has
+	// collapsed onto its flight, then release it. Do counts a collapse
+	// before it blocks on the flight, so once the counter reaches
+	// waiters-1 no caller can arrive late and score a hit instead.
+	for computes.Load() == 0 || c.Stats().Collapsed < waiters-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

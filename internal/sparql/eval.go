@@ -3,6 +3,7 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -25,11 +26,17 @@ type Result struct {
 }
 
 // Eval evaluates the query over a graph under the fragment's semantics:
-// BGPs per Definition 1, UNION as set union of solution multisets, filters
-// as post-selection, SELECT as projection (bag; set under DISTINCT). The
-// source is frozen once up front, so the entire query — every BGP, union
-// alternative and optional — evaluates against one point-in-time snapshot
-// and concurrent bulk loads can neither stall nor tear it.
+// BGPs per Definition 1, joins and OPTIONAL over compatible solution
+// mappings, UNION as the union of solution multisets, filters as
+// post-selection, SELECT as projection (bag; set under DISTINCT). The
+// source is frozen once up front, so the entire query evaluates against one
+// point-in-time snapshot and concurrent bulk loads can neither stall nor
+// tear it.
+//
+// Eval is EvalStream drained and sorted: under LIMIT k it returns the first
+// k rows in plan order — exactly the rows EvalStream yields — in sorted
+// order. Eval (through EvalCtx) is the only path that consults the answer
+// cache.
 func (q *Query) Eval(g rdf.Source) *Result {
 	res, _ := q.EvalCtx(context.Background(), g)
 	return res
@@ -48,64 +55,60 @@ func (q *Query) EvalCtx(ctx context.Context, g rdf.Source) (*Result, error) {
 }
 
 func (q *Query) evalUncached(ctx context.Context, g rdf.Source) (*Result, error) {
-	sols := evalExpr(ctx, g, q.Where)
-	res := q.assemble(sols)
-	return res, ctx.Err()
-}
-
-func (q *Query) assemble(sols []pattern.Binding) *Result {
+	rs := q.EvalStream(ctx, g)
+	defer rs.Close()
+	res := &Result{Form: q.Form, True: rs.True}
 	if q.Form == FormAsk {
-		return &Result{Form: FormAsk, True: len(sols) > 0}
+		return res, ctx.Err()
 	}
-	vars := q.ProjectedVars()
-	res := &Result{Form: FormSelect, Vars: vars}
-	seen := make(map[string]struct{})
-	for _, mu := range sols {
-		row := make(pattern.Tuple, len(vars))
-		for i, v := range vars {
-			row[i] = mu[v] // unbound stays the zero Term
-		}
-		if q.Distinct {
-			k := row.Key()
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
+	res.Vars = rs.Vars
+	for {
+		row, ok := rs.Next()
+		if !ok {
+			break
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Compare(res.Rows[j]) < 0 })
-	if q.Limit > 0 && len(res.Rows) > q.Limit {
-		res.Rows = res.Rows[:q.Limit]
-	}
-	return res
+	return res, ctx.Err()
 }
 
-// evalExpr returns the solution mappings of the expression. BGPs run
-// through the streaming planner, joins between sub-expressions through the
-// algebra's hash join, and FILTER through its σ operator. Cancellation
-// truncates the streams; EvalCtx surfaces ctx.Err() to the caller.
-func evalExpr(ctx context.Context, g rdf.Source, e Expr) []pattern.Binding {
+// lower translates an expression into its operator tree, the one evaluator
+// behind Eval and EvalStream: a group's BGP through the planner, each child
+// hash-joined on (OPTIONAL: left-joined to) the rows so far, VALUES as an
+// inline relation, UNION as a parallel union merged in branch order, and
+// the group's filters as σ over the result. certain lists, sorted, the
+// variables every row of the tree binds. Join keys are drawn only from
+// them, so rows whose domains differ — UNDEF cells, UNION arms, OPTIONAL
+// extensions — still hash soundly; the probe's compatibility check covers
+// the rest.
+func lower(g rdf.Source, e Expr) (n plan.Node, certain []string) {
 	switch x := e.(type) {
 	case *Group:
 		if len(x.BGP) > 0 {
 			patternScans.Add(1)
 		}
-		sols, _ := plan.ExecuteCtx(ctx, g, x.BGP)
+		n, certain = plan.Plan(g, x.BGP), x.BGP.Vars()
 		for _, child := range x.Children {
 			if opt, ok := child.(*Optional); ok {
-				sols = leftJoin(sols, evalExpr(ctx, g, opt.Inner))
+				right, rc := lower(g, opt.Inner)
+				n = &plan.LeftJoin{HashJoin: plan.HashJoin{Left: n, Right: right, Shared: sharedVars(certain, rc)}}
 				continue
 			}
-			if len(sols) == 0 {
-				return nil
+			right, rc := lower(g, child)
+			if _, empty := n.(plan.Unit); empty {
+				// Unit is the identity of ⋈; the child takes its place on
+				// the streaming side instead of becoming a build side
+				n, certain = right, rc
+				continue
 			}
-			sols = plan.HashJoinBindings(sols, evalExpr(ctx, g, child))
+			n = &plan.HashJoin{Left: n, Right: right, Shared: sharedVars(certain, rc)}
+			certain = unionVars(certain, rc)
 		}
 		if len(x.Filters) > 0 {
 			filters := x.Filters
-			f := &plan.Filter{
-				Child: &plan.Bindings{Rows: sols, Label: "group"},
+			n = &plan.Filter{
+				Child: n,
 				Pred: func(mu pattern.Binding) bool {
 					for _, f := range filters {
 						if !f.Holds(mu) {
@@ -116,59 +119,74 @@ func evalExpr(ctx context.Context, g rdf.Source, e Expr) []pattern.Binding {
 				},
 				Label: "FILTER",
 			}
-			sols = plan.Drain(f.Open(ctx, g))
 		}
-		return sols
+		return n, certain
 	case *Union:
-		// fan the alternatives out in parallel; appending branch results in
-		// alternative order keeps the bag deterministic
-		results := make([][]pattern.Binding, len(x.Alternatives))
-		plan.Fanout(len(x.Alternatives), func(i int) {
-			results[i] = evalExpr(ctx, g, x.Alternatives[i])
-		})
-		var out []pattern.Binding
-		for _, r := range results {
-			out = append(out, r...)
+		children := make([]plan.Node, len(x.Alternatives))
+		for i, alt := range x.Alternatives {
+			var c []string
+			children[i], c = lower(g, alt)
+			if i == 0 {
+				certain = c
+			} else {
+				certain = sharedVars(certain, c)
+			}
 		}
-		return out
+		return &plan.Union{Children: children, Parallel: true}, certain
 	case *Optional:
-		// a bare OPTIONAL at the top level behaves like its inner pattern
-		// left-joined with the empty solution
-		return leftJoin([]pattern.Binding{{}}, evalExpr(ctx, g, x.Inner))
+		// a bare OPTIONAL is its inner pattern left-joined to the empty
+		// solution
+		inner, _ := lower(g, x.Inner)
+		return &plan.LeftJoin{HashJoin: plan.HashJoin{Left: plan.Unit{}, Right: inner}}, nil
 	case *Values:
-		return x.Bindings()
-	default:
-		return nil
+		rows := x.Bindings()
+		for _, name := range x.Names {
+			if boundInAll(rows, name) {
+				certain = append(certain, name)
+			}
+		}
+		sort.Strings(certain)
+		return &plan.InlineBindings{Names: append([]string(nil), x.Names...), Rows: rows}, certain
 	}
+	panic(fmt.Sprintf("sparql: unsupported expression type %T", e))
 }
 
-// patternScans counts basic-graph-pattern evaluations — one per Group BGP
-// run through the planner, whatever the transport. The federation tests pin
-// the VALUES probe rendering with it: a probe batch of N bindings is one
+func boundInAll(rows []pattern.Binding, v string) bool {
+	for _, mu := range rows {
+		if _, ok := mu[v]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// sharedVars intersects two variable lists, sorted.
+func sharedVars(a, b []string) []string {
+	var out []string
+	for _, v := range b {
+		if slices.Contains(a, v) {
+			out = append(out, v)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// unionVars merges two variable lists, sorted and deduplicated.
+func unionVars(a, b []string) []string {
+	out := append(append([]string(nil), a...), b...)
+	sort.Strings(out)
+	return slices.Compact(out)
+}
+
+// patternScans counts basic-graph-pattern evaluations — one per non-empty
+// group BGP lowered, whatever the transport. The federation tests pin the
+// VALUES probe rendering with it: a probe batch of N bindings is one
 // pattern scan, where the legacy UNION-of-filtered-copies rendering is N.
 var patternScans atomic.Int64
 
 // PatternScans reports the process-wide number of BGP evaluations.
 func PatternScans() int64 { return patternScans.Load() }
-
-// leftJoin implements SPARQL's OPTIONAL: every left solution survives,
-// extended by each compatible right solution when any exists.
-func leftJoin(left, right []pattern.Binding) []pattern.Binding {
-	var out []pattern.Binding
-	for _, l := range left {
-		matched := false
-		for _, r := range right {
-			if pattern.Compatible(l, r) {
-				out = append(out, pattern.Union(l, r))
-				matched = true
-			}
-		}
-		if !matched {
-			out = append(out, l)
-		}
-	}
-	return out
-}
 
 // Format renders a result table using the namespace table for compact IRIs.
 // SELECT results are printed one row per line with tab-separated columns;

@@ -4,6 +4,15 @@
 // first-order rewritings of Section 4), simple equality FILTERs, and PREFIX
 // handling. Queries translate losslessly to and from the internal
 // graph-pattern representation of package pattern.
+//
+// The fragment also carries OPTIONAL, VALUES and LIMIT. Every query has one
+// evaluator: lower translates the whole WHERE clause into a single
+// internal/plan operator tree (BGPs through the planner, joins through
+// HashJoin, OPTIONAL through LeftJoin, VALUES as InlineBindings, UNION as a
+// parallel Union, FILTER as Filter). EvalStream opens that tree lazily;
+// Eval drains EvalStream and sorts. Under LIMIT k both keep the first k
+// rows in plan order, so a peer returns the same rows over every
+// transport. Only Eval consults the answer cache.
 package sparql
 
 import (

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,30 +350,25 @@ func TestEvalOptional(t *testing.T) {
 e:a e:name "Alice" . e:a e:age "30" .
 e:b e:name "Bob" .
 `)
-	q := MustParse(`
-PREFIX e: <http://e/>
-SELECT ?x ?age WHERE { ?x e:name ?n . OPTIONAL { ?x e:age ?age } }`)
-	res := q.Eval(g)
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	var aliceAge, bobAge rdf.Term
-	for _, row := range res.Rows {
-		switch row[0] {
-		case rdf.IRI("http://e/a"):
-			aliceAge = row[1]
-		case rdf.IRI("http://e/b"):
-			bobAge = row[1]
-		}
-	}
-	if aliceAge != rdf.Literal("30") {
-		t.Errorf("alice age = %v", aliceAge)
-	}
-	if !bobAge.IsZero() {
-		t.Errorf("bob should have unbound age, got %v", bobAge)
+	a, b, age := rdf.IRI("http://e/a"), rdf.IRI("http://e/b"), rdf.Literal("30")
+	var undef rdf.Term
+	for _, tc := range []struct {
+		name, where string
+		want        []pattern.Tuple
+	}{
+		{"group", `{ ?x e:name ?n . OPTIONAL { ?x e:age ?age } }`, []pattern.Tuple{{a, age}, {b, undef}}},
+		// a bare top-level OPTIONAL left-joins the empty solution: its
+		// matches when there are any, one all-unbound row otherwise
+		{"bare top-level", `{ OPTIONAL { ?x e:age ?age } }`, []pattern.Tuple{{a, age}}},
+		{"bare top-level, no match", `{ OPTIONAL { ?x e:missing ?age } }`, []pattern.Tuple{{undef, undef}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRows(t, MustParse(`PREFIX e: <http://e/> SELECT ?x ?age WHERE `+tc.where), g, tc.want)
+		})
 	}
 	// formatting shows UNDEF for the unbound cell
-	out := res.Format(nil)
+	q := MustParse(`PREFIX e: <http://e/> SELECT ?x ?age WHERE { ?x e:name ?n . OPTIONAL { ?x e:age ?age } }`)
+	out := q.Eval(g).Format(nil)
 	if !strings.Contains(out, "UNDEF") {
 		t.Errorf("Format should show UNDEF:\n%s", out)
 	}
@@ -434,27 +430,42 @@ e:a e:name "A" . e:a e:city e:c1 . e:c1 e:country "X" .
 e:b e:name "B" . e:b e:city e:c2 .
 e:d e:name "D" .
 `)
-	q := MustParse(`
-PREFIX e: <http://e/>
-SELECT ?n ?city ?country WHERE {
-  ?x e:name ?n .
-  OPTIONAL { ?x e:city ?city . OPTIONAL { ?city e:country ?country } }
-}`)
-	res := q.Eval(g)
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
+	c1, c2, x := rdf.IRI("http://e/c1"), rdf.IRI("http://e/c2"), rdf.Literal("X")
+	A, B, D := rdf.Literal("A"), rdf.Literal("B"), rdf.Literal("D")
+	var undef rdf.Term
+	for _, tc := range []struct {
+		name, where string
+		want        []pattern.Tuple
+	}{
+		{"nested", `{ ?x e:name ?n . OPTIONAL { ?x e:city ?city . OPTIONAL { ?city e:country ?country } } }`,
+			[]pattern.Tuple{{A, c1, x}, {B, c2, undef}, {D, undef, undef}}},
+		// the second OPTIONAL shares ?city with the first one's optional
+		// part: D leaves ?city unbound, so every country row is compatible
+		// with it (plain SPARQL semantics for a non-well-designed pattern)
+		{"sequential, sharing an optional variable", `{ ?x e:name ?n . OPTIONAL { ?x e:city ?city } OPTIONAL { ?city e:country ?country } }`,
+			[]pattern.Tuple{{A, c1, x}, {B, c2, undef}, {D, c1, x}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRows(t, MustParse(`PREFIX e: <http://e/> SELECT ?n ?city ?country WHERE `+tc.where), g, tc.want)
+		})
 	}
-	byName := map[string]pattern.Tuple{}
-	for _, row := range res.Rows {
-		byName[row[0].Value()] = row
+}
+
+// checkRows asserts that Eval and EvalStream both return exactly the bag
+// want (zero Terms are unbound cells).
+func checkRows(t *testing.T, q *Query, g rdf.Source, want []pattern.Tuple) {
+	t.Helper()
+	want = sortedRows(want)
+	if got := q.Eval(g).Rows; !slices.EqualFunc(got, want, pattern.Tuple.Equal) {
+		t.Errorf("Eval rows = %v, want %v", got, want)
 	}
-	if byName["A"][2] != rdf.Literal("X") {
-		t.Errorf("A row = %v", byName["A"])
+	if got := sortedRows(streamRows(q, g)); !slices.EqualFunc(got, want, pattern.Tuple.Equal) {
+		t.Errorf("EvalStream rows = %v, want %v", got, want)
 	}
-	if byName["B"][1].IsZero() || !byName["B"][2].IsZero() {
-		t.Errorf("B row = %v", byName["B"])
-	}
-	if !byName["D"][1].IsZero() {
-		t.Errorf("D row = %v", byName["D"])
-	}
+}
+
+func sortedRows(rows []pattern.Tuple) []pattern.Tuple {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, pattern.Tuple.Compare)
+	return out
 }

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/pattern"
 	"repro/internal/plan"
@@ -23,24 +22,43 @@ type RowStream struct {
 	// to the first row and stops).
 	True bool
 
-	next     func() (pattern.Tuple, bool)
-	closefn  func()
+	it       plan.Iterator // nil once exhausted, closed or at the LIMIT
+	seen     map[string]struct{}
+	limit    int
+	emitted  int
 	produced int64
-	done     bool
 }
 
 // Next returns the next projected row. ok is false once the stream is
 // exhausted (or was closed, or the LIMIT was reached).
 func (s *RowStream) Next() (pattern.Tuple, bool) {
-	if s.done || s.next == nil {
-		return nil, false
+	for s.it != nil {
+		mu, ok := s.it.Next()
+		if !ok {
+			s.Close()
+			return nil, false
+		}
+		s.produced++
+		row := make(pattern.Tuple, len(s.Vars))
+		for i, v := range s.Vars {
+			row[i] = mu[v] // unbound stays the zero Term
+		}
+		if s.seen != nil {
+			k := row.Key()
+			if _, dup := s.seen[k]; dup {
+				continue
+			}
+			s.seen[k] = struct{}{}
+		}
+		s.emitted++
+		if s.limit > 0 && s.emitted >= s.limit {
+			// the cap is reached: this row is the last — release the
+			// underlying scan now instead of waiting for Close
+			s.Close()
+		}
+		return row, true
 	}
-	row, ok := s.next()
-	if !ok {
-		s.done = true
-		return nil, false
-	}
-	return row, true
+	return nil, false
 }
 
 // Produced reports how many solution rows the underlying evaluation
@@ -51,205 +69,38 @@ func (s *RowStream) Produced() int64 { return s.produced }
 // Close releases the underlying plan iterators. Closing early abandons the
 // rest of the scan; Next afterwards reports exhaustion.
 func (s *RowStream) Close() {
-	s.done = true
-	if s.closefn != nil {
-		s.closefn()
-		s.closefn = nil
+	if s.it != nil {
+		s.it.Close()
+		s.it = nil
 	}
-}
-
-// streamableGroup reports whether the query is in the directly streamable
-// fragment: a single group whose children are all VALUES blocks with a
-// uniform binding domain (the hash-join build keys must cover every shared
-// variable of every row). Everything else falls back to the materialised
-// evaluator inside EvalStream.
-func (q *Query) streamableGroup() (*Group, bool) {
-	g, ok := q.Where.(*Group)
-	if !ok {
-		return nil, false
-	}
-	for _, child := range g.Children {
-		v, ok := child.(*Values)
-		if !ok {
-			return nil, false
-		}
-		if !pattern.UniformDomain(v.Bindings()) {
-			return nil, false
-		}
-	}
-	return g, true
-}
-
-// StreamPlan lowers a streamable query to its operator tree: the group's
-// BGP through the planner, each VALUES block as a plan.InlineBindings leaf
-// on the build side of a hash join (the pattern scan streams through the
-// probe side — the batch is evaluated with ONE pattern scan, however many
-// bindings it carries), filters as σ. ok is false when the query is outside
-// the streamable fragment.
-func (q *Query) StreamPlan(g rdf.Source) (plan.Node, bool) {
-	grp, ok := q.streamableGroup()
-	if !ok {
-		return nil, false
-	}
-	root := plan.Plan(g, grp.BGP)
-	for _, child := range grp.Children {
-		v := child.(*Values)
-		rows := v.Bindings()
-		inline := &plan.InlineBindings{Names: append([]string(nil), v.Names...), Rows: rows}
-		root = &plan.HashJoin{
-			Left:   root,
-			Right:  inline,
-			Shared: sharedVars(root.Vars(), domainOf(rows)),
-		}
-	}
-	if len(grp.Filters) > 0 {
-		filters := grp.Filters
-		root = &plan.Filter{
-			Child: root,
-			Pred: func(mu pattern.Binding) bool {
-				for _, f := range filters {
-					if !f.Holds(mu) {
-						return false
-					}
-				}
-				return true
-			},
-			Label: "FILTER",
-		}
-	}
-	return root, true
-}
-
-// domainOf returns the (uniform) bound-variable domain of rows, sorted.
-func domainOf(rows []pattern.Binding) []string {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(rows[0]))
-	for v := range rows[0] {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sharedVars intersects two sorted variable lists.
-func sharedVars(a, b []string) []string {
-	set := make(map[string]bool, len(a))
-	for _, v := range a {
-		set[v] = true
-	}
-	var out []string
-	for _, v := range b {
-		if set[v] {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EvalStream evaluates the query as a pull stream over one point-in-time
-// snapshot of g. Queries in the streamable fragment (see StreamPlan) run
-// the plan lazily — rows reach the caller as the scan produces them, and
-// closing the stream (or reaching LIMIT) abandons the rest of the scan. ASK
-// evaluates to the first row and stops. Queries outside the fragment are
-// evaluated through the (cached) materialised evaluator and replayed as a
-// stream; err is the evaluation error in that case.
+// snapshot of g. The whole query lowers to one operator tree that opens
+// lazily: rows reach the caller as the scan produces them, and closing the
+// stream (or reaching LIMIT) abandons the rest of the scan. Only hash-join
+// build sides (a group's non-BGP children) and UNION arms are drained up
+// front. ASK evaluates to the first row and stops.
 //
-// Streamed SELECT rows arrive in scan order, not the sorted order of Eval,
-// and bypass the answer cache; the row set (bag, or set under DISTINCT) is
-// identical.
-func (q *Query) EvalStream(ctx context.Context, g rdf.Source) (*RowStream, error) {
+// SELECT rows arrive in plan order, and under LIMIT k the stream ends after
+// the first k; Eval returns the same rows sorted. Streams bypass the answer
+// cache. Cancellation truncates the stream; callers check ctx.Err().
+func (q *Query) EvalStream(ctx context.Context, g rdf.Source) *RowStream {
 	g = rdf.Freeze(g)
-	vars := q.ProjectedVars()
-	node, ok := q.StreamPlan(g)
-	if !ok {
-		res, err := q.EvalCtx(ctx, g)
-		if err != nil {
-			return nil, err
-		}
-		return streamResult(res), nil
-	}
-	grp, _ := q.streamableGroup()
-	if len(grp.BGP) > 0 {
-		patternScans.Add(1)
-	}
+	node, _ := lower(g, q.Where)
 	it := node.Open(ctx, g)
-	s := &RowStream{Form: q.Form, Vars: vars}
+	s := &RowStream{Form: q.Form, Vars: q.ProjectedVars()}
 	if q.Form == FormAsk {
-		_, found := it.Next()
-		if found {
+		_, s.True = it.Next()
+		if s.True {
 			s.produced = 1
 		}
 		it.Close()
-		s.True = found
-		s.done = true
-		return s, nil
-	}
-	var seen map[string]struct{}
-	if q.Distinct {
-		seen = make(map[string]struct{})
-	}
-	emitted := 0
-	s.closefn = it.Close
-	s.next = func() (pattern.Tuple, bool) {
-		for {
-			mu, ok := it.Next()
-			if !ok {
-				return nil, false
-			}
-			s.produced++
-			row := make(pattern.Tuple, len(vars))
-			for i, v := range vars {
-				row[i] = mu[v] // unbound stays the zero Term
-			}
-			if seen != nil {
-				k := row.Key()
-				if _, dup := seen[k]; dup {
-					continue
-				}
-				seen[k] = struct{}{}
-			}
-			emitted++
-			if q.Limit > 0 && emitted >= q.Limit {
-				// the cap is reached: this row is the last — release the
-				// underlying scan now instead of waiting for Close
-				s.done = true
-				it.Close()
-				s.closefn = nil
-			}
-			return row, true
-		}
-	}
-	return s, nil
-}
-
-// streamResult replays a materialised result as a stream (the fallback for
-// queries outside the streamable fragment, and the client-side adapter for
-// one-shot responses from peers that do not speak the stream protocol).
-func streamResult(res *Result) *RowStream {
-	s := &RowStream{Form: res.Form, Vars: res.Vars, True: res.True}
-	if res.Form == FormAsk {
-		if res.True {
-			s.produced = 1
-		}
-		s.done = true
 		return s
 	}
-	s.produced = int64(len(res.Rows))
-	i := 0
-	s.next = func() (pattern.Tuple, bool) {
-		if i >= len(res.Rows) {
-			return nil, false
-		}
-		row := res.Rows[i]
-		i++
-		return row, true
+	s.it, s.limit = it, q.Limit
+	if q.Distinct {
+		s.seen = make(map[string]struct{})
 	}
 	return s
 }
-
-// StreamResult is streamResult for other packages (peer's one-shot
-// compatibility fallback).
-func StreamResult(res *Result) *RowStream { return streamResult(res) }

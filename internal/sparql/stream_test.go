@@ -3,7 +3,9 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pattern"
@@ -39,23 +41,24 @@ SELECT DISTINCT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten
 }
 
 func TestEvalValuesRestrictsPattern(t *testing.T) {
-	q := MustParse(`
-PREFIX e: <http://e/>
-SELECT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) } }`)
-	res := q.Eval(filmGraph())
-	if len(res.Rows) != 1 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	set := res.TupleSet()
-	if !set.Has(pattern.Tuple{rdf.IRI("http://e/toby"), rdf.IRI("http://e/tobyA")}) {
-		t.Errorf("wrong row: %v", res.Rows)
-	}
-	// UNDEF leaves the variable unconstrained in that row
-	u := MustParse(`
-PREFIX e: <http://e/>
-SELECT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (UNDEF) } }`)
-	if res := u.Eval(filmGraph()); len(res.Rows) != 2 {
-		t.Errorf("UNDEF row should not restrict: %v", res.Rows)
+	toby, tobyA := rdf.IRI("http://e/toby"), rdf.IRI("http://e/tobyA")
+	kirsten, kirstenA := rdf.IRI("http://e/kirsten"), rdf.IRI("http://e/kirstenA")
+	for _, tc := range []struct {
+		name, values string
+		want         []pattern.Tuple
+	}{
+		{"bound", `VALUES (?z) { (e:toby) }`, []pattern.Tuple{{toby, tobyA}}},
+		// UNDEF leaves the variable unconstrained in that row
+		{"UNDEF", `VALUES (?z) { (UNDEF) }`, []pattern.Tuple{{toby, tobyA}, {kirsten, kirstenA}}},
+		{"UNDEF in different columns", `VALUES (?z ?x) { (e:toby UNDEF) (UNDEF e:kirstenA) }`,
+			[]pattern.Tuple{{toby, tobyA}, {kirsten, kirstenA}}},
+		{"UNDEF and bound rows overlapping", `VALUES (?z ?x) { (e:toby UNDEF) (e:toby e:tobyA) }`,
+			[]pattern.Tuple{{toby, tobyA}, {toby, tobyA}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := MustParse(`PREFIX e: <http://e/> SELECT ?z ?x WHERE { ?z e:artist ?x . ` + tc.values + ` }`)
+			checkRows(t, q, filmGraph(), tc.want)
+		})
 	}
 }
 
@@ -75,17 +78,14 @@ func TestParseLimit(t *testing.T) {
 	}
 }
 
-// The streamable fragment (single group + VALUES children) lowers to a
-// HashJoin over InlineBindings — visible in the rendered plan, and worth
-// one single pattern scan however many bindings ride along.
+// A VALUES child lowers to a HashJoin over InlineBindings — visible in the
+// rendered plan, and worth one single pattern scan however many bindings
+// ride along.
 func TestStreamPlanShowsInlineBindings(t *testing.T) {
 	q := MustParse(`
 PREFIX e: <http://e/>
 SELECT DISTINCT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten) } }`)
-	node, ok := q.StreamPlan(rdf.Freeze(filmGraph()))
-	if !ok {
-		t.Fatal("VALUES query outside the streamable fragment")
-	}
+	node, _ := lower(rdf.Freeze(filmGraph()), q.Where)
 	s := plan.Format(node)
 	if !strings.Contains(s, "InlineBindings[?z] rows=2") {
 		t.Errorf("plan missing the inline build side:\n%s", s)
@@ -101,10 +101,7 @@ SELECT DISTINCT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten
 	}
 	big := MustParse(`SELECT DISTINCT ?z ?x WHERE { ?z <http://e/artist> ?x . VALUES (?z) { ` + vals.String() + `} }`)
 	before := PatternScans()
-	rs, err := big.EvalStream(context.Background(), filmGraph())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := big.EvalStream(context.Background(), filmGraph())
 	for {
 		if _, ok := rs.Next(); !ok {
 			break
@@ -116,8 +113,7 @@ SELECT DISTINCT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten
 	}
 }
 
-// EvalStream must agree with Eval on the row set, for queries inside and
-// outside the streamable fragment.
+// EvalStream must agree with Eval on the row set.
 func TestEvalStreamMatchesEval(t *testing.T) {
 	for _, text := range []string{
 		`PREFIX e: <http://e/> SELECT ?z ?x WHERE { ?z e:artist ?x . VALUES (?z) { (e:toby) (e:kirsten) } }`,
@@ -127,10 +123,7 @@ func TestEvalStreamMatchesEval(t *testing.T) {
 	} {
 		q := MustParse(text)
 		want := q.Eval(filmGraph()).TupleSet()
-		rs, err := q.EvalStream(context.Background(), filmGraph())
-		if err != nil {
-			t.Fatalf("%s: %v", text, err)
-		}
+		rs := q.EvalStream(context.Background(), filmGraph())
 		got := pattern.NewTupleSet()
 		n := 0
 		for {
@@ -157,10 +150,7 @@ func TestEvalStreamAskStopsAtFirstRow(t *testing.T) {
 	}
 	g := turtle.MustParseGraph(b.String())
 	q := MustParse(`PREFIX e: <http://e/> ASK { ?s e:p ?o . VALUES (?s) { (e:s500) } }`)
-	rs, err := q.EvalStream(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := q.EvalStream(context.Background(), g)
 	if !rs.True {
 		t.Error("ASK should be true")
 	}
@@ -178,12 +168,9 @@ func TestEvalStreamLimitReleasesScan(t *testing.T) {
 	}
 	g := turtle.MustParseGraph(b.String())
 	q := MustParse(`PREFIX e: <http://e/> SELECT ?s ?o WHERE { ?s e:p ?o . VALUES (?x) { (e:unused) } } LIMIT 3`)
-	// (the VALUES block keeps the query in the streamable fragment while
-	// joining nothing away — a pure streamed scan with LIMIT)
-	rs, err := q.EvalStream(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// (the VALUES block joins nothing away: the scan streams through the
+	// hash join's probe side up to the LIMIT)
+	rs := q.EvalStream(context.Background(), g)
 	rows := 0
 	for {
 		if _, ok := rs.Next(); !ok {
@@ -198,4 +185,105 @@ func TestEvalStreamLimitReleasesScan(t *testing.T) {
 		t.Errorf("LIMIT 3 still drained the scan: produced %d", rs.Produced())
 	}
 	rs.Close()
+}
+
+func streamRows(q *Query, g rdf.Source) []pattern.Tuple {
+	rs := q.EvalStream(context.Background(), g)
+	defer rs.Close()
+	var rows []pattern.Tuple
+	for {
+		row, ok := rs.Next()
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
+// wideGraph holds n subjects with one name each; every hundredth also has an
+// age. Subjects are added in descending order, so neither insertion nor
+// store order matches the sorted order.
+func wideGraph(n int) *rdf.Graph {
+	var b strings.Builder
+	b.WriteString("@prefix e: <http://e/> .\n")
+	for i := n - 1; i >= 0; i-- {
+		fmt.Fprintf(&b, "e:s%d e:name \"n%d\" .\n", i, i)
+		if i%100 == 0 {
+			fmt.Fprintf(&b, "e:s%d e:age \"%d\" .\n", i, i%7)
+		}
+	}
+	return turtle.MustParseGraph(b.String())
+}
+
+// Eval and EvalStream keep the same rows under LIMIT: the first k in plan
+// order, which Eval returns sorted.
+func TestLimitRowsAgree(t *testing.T) {
+	g := wideGraph(200)
+	for _, where := range []string{
+		`{ ?s e:name ?n }`,
+		`{ ?s e:name ?n . OPTIONAL { ?s e:age ?a } }`,
+		`{ { ?s e:name ?n } UNION { ?s e:age ?n } }`,
+		`{ ?s e:name ?n . VALUES (?s ?n) { (UNDEF "n7") (e:s3 UNDEF) (UNDEF UNDEF) } }`,
+	} {
+		for _, head := range []string{"SELECT ?s ?n", "SELECT DISTINCT ?n"} {
+			q := MustParse(`PREFIX e: <http://e/> ` + head + ` WHERE ` + where + ` LIMIT 5`)
+			got := q.Eval(g).Rows
+			streamed := sortedRows(streamRows(q, g))
+			if len(got) != 5 || !slices.EqualFunc(got, streamed, pattern.Tuple.Equal) {
+				t.Errorf("%s:\n    Eval %v\n  stream %v", q, got, streamed)
+			}
+		}
+	}
+}
+
+// visitCounter counts the triples the store hands to scans.
+type visitCounter struct {
+	rdf.Source
+	visited atomic.Int64
+}
+
+func (c *visitCounter) count(fn func(rdf.Triple) bool) func(rdf.Triple) bool {
+	return func(t rdf.Triple) bool {
+		c.visited.Add(1)
+		return fn(t)
+	}
+}
+
+func (c *visitCounter) Match(s, p, o *rdf.Term, fn func(rdf.Triple) bool) {
+	c.Source.Match(s, p, o, c.count(fn))
+}
+
+func (c *visitCounter) MatchShard(i int, s, p, o *rdf.Term, fn func(rdf.Triple) bool) {
+	c.Source.MatchShard(i, s, p, o, c.count(fn))
+}
+
+// OPTIONAL and UNDEF-carrying VALUES stream like any other query: LIMIT 1
+// stops the scan after a handful of rows instead of evaluating the whole
+// query first.
+func TestEvalStreamOptionalAndUndefStopEarly(t *testing.T) {
+	const n = 2000
+	g := wideGraph(n)
+	for _, where := range []string{
+		`{ ?s e:name ?n . OPTIONAL { ?s e:age ?a } }`,
+		`{ ?s e:name ?n . VALUES (?s ?n) { (e:s3 UNDEF) (UNDEF UNDEF) } }`,
+	} {
+		q := MustParse(`PREFIX e: <http://e/> SELECT ?s ?n WHERE ` + where)
+		full := len(q.Eval(g).Rows)
+		if full < n {
+			t.Fatalf("%s: %d rows, want at least %d", where, full, n)
+		}
+		q.Limit = 1
+		src := &visitCounter{Source: g.Snapshot()}
+		rs := q.EvalStream(context.Background(), src)
+		if _, ok := rs.Next(); !ok {
+			t.Fatalf("%s: no row", where)
+		}
+		rs.Close()
+		if rs.Produced() > int64(full/10) {
+			t.Errorf("%s: LIMIT 1 produced %d of %d rows", where, rs.Produced(), full)
+		}
+		if v := src.visited.Load(); v > int64(full/10) {
+			t.Errorf("%s: LIMIT 1 visited %d triples for %d rows: the query was evaluated in full", where, v, full)
+		}
+	}
 }

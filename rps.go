@@ -82,7 +82,13 @@
 // indexes' cardinality statistics (Graph.Stats, refined per predicate by
 // Graph.PredStats). The UCQ branches a rewriting produces evaluate as a
 // parallel union across goroutines with a deterministic, deduplicated
-// merge. ExplainQuery (and rpsquery -explain) renders the chosen plan; see
+// merge. A SPARQL query lowers whole onto the same operators — a group's
+// BGP through the planner, its children through hash joins, OPTIONAL
+// through a hash left join, VALUES as an inline relation, UNION as a
+// parallel union — so one evaluator serves every transport: the streamed
+// answer is that tree opened lazily, and the one-shot answer is the same
+// stream drained and sorted (under LIMIT, the same first rows).
+// ExplainQuery (and rpsquery -explain) renders the chosen plan; see
 // internal/plan's package documentation for the operator algebra and the
 // cost model.
 //
